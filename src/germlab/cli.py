@@ -25,7 +25,12 @@ from germlab.fellbundle import (
     validate_axioms,
 )
 from germlab.germgpd import Germ, build_germ_groupoid, is_hausdorff, map_s_to_Os_injective
-from germlab.linebundle import build_line_bundle, round_trip, verify_gelfand_iso
+from germlab.linebundle import (
+    LineBundleError,
+    build_line_bundle,
+    round_trip,
+    verify_gelfand_iso,
+)
 from germlab.serialize import ParseError
 
 REPORT_VERSION = 1
@@ -102,7 +107,7 @@ def run_pipeline(bundle_doc: dict, options: dict | None = None) -> PipelineRepor
     t0 = time.perf_counter()
     try:
         line = build_line_bundle(bundle, groupoid)
-    except Exception as exc:
+    except LineBundleError as exc:
         report.record("linebundle", False, [str(exc)], time.perf_counter() - t0)
         return report
     report.record("linebundle", True, [], time.perf_counter() - t0)
@@ -290,8 +295,14 @@ def cmd_validate(args) -> int:
     return 0 if axioms.ok else 1
 
 
-def _bundle_and_groupoid(path):
+def _bundle_and_groupoid(path, discrete_stages=()):
+    """Parse the bundle and build its germ groupoid.  A command whose
+    ``discrete_stages`` the interval model lacks refuses interval input."""
     bundle = serialize.parse_bundle(_load(path))
+    if discrete_stages and bundle.kind != "discrete":
+        raise ParseError(
+            "bundle", f"the {bundle.kind} model lacks the stages "
+            f"{', '.join(discrete_stages)}; this command needs a discrete bundle")
     return bundle, build_germ_groupoid(bundle.action)
 
 
@@ -356,7 +367,7 @@ def cmd_linebundle(args) -> int:
 def cmd_norms(args) -> int:
     from germlab.convalg import reduced_norm, regular_rep
 
-    bundle, groupoid = _bundle_and_groupoid(args.bundle)
+    bundle, groupoid = _bundle_and_groupoid(args.bundle, ("norms",))
     line = build_line_bundle(bundle, groupoid)
     sections = serialize.parse_sections_doc(_load(args.elements), bundle, groupoid)
     out = []
@@ -378,7 +389,7 @@ def cmd_norms(args) -> int:
 def cmd_verify_iso(args) -> int:
     from germlab.convalg import kernel_equals_ideal, verify_reduced_iso
 
-    bundle, groupoid = _bundle_and_groupoid(args.bundle)
+    bundle, groupoid = _bundle_and_groupoid(args.bundle, ("gelfand", "kernel", "reduced-iso"))
     line = build_line_bundle(bundle, groupoid)
     gelf = verify_gelfand_iso(bundle, line)
     ker = kernel_equals_ideal(bundle, line)

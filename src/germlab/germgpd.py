@@ -321,9 +321,6 @@ def _build_interval(action: Action) -> IntervalGermGroupoid:
     return IntervalGermGroupoid(action=action, cells=tuple(raw), atomic_cells=tuple(atomic))
 
 
-GermGroupoid = object  # union alias for documentation purposes
-
-
 def build_germ_groupoid(act: Action):
     if act.space.kind == "discrete":
         return _build_discrete(act)

@@ -156,7 +156,17 @@ def emit_partial_homeo(m) -> dict:
 
 def parse_semigroup(doc):
     elements = list(doc["elements"])
-    table = [[elements[j] for j in row] for row in doc["mul"]]
+    n = len(elements)
+    table = []
+    for i, row in enumerate(doc["mul"]):
+        for k, j in enumerate(row):
+            # bool is an int subclass, and a negative index would wrap around
+            if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < n:
+                raise ParseError(
+                    "semigroup.mul",
+                    f"row {i}, column {k}: {json.dumps(j, default=repr)} is not an "
+                    f"integer in [0, {n})")
+        table.append([elements[j] for j in row])
     return validate_inverse_semigroup(elements, table, zero=doc.get("zero"))
 
 

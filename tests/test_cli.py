@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from germlab import serialize
 from germlab.cli import main, named_fixture, run_pipeline, seeded_random_fixture
 from germlab.fixtures import z4_twisted_groupoid
@@ -183,3 +185,61 @@ def test_cli_gen_fixture_named(capsys, tmp_path):
 def test_cli_missing_file(capsys):
     code, out = run(capsys, "validate", "/nonexistent/x.json")
     assert code == 2
+
+
+def test_pipeline_records_line_bundle_error_as_failed_stage(monkeypatch):
+    from germlab import cli
+    from germlab.linebundle import LineBundleError
+
+    def refuse(bundle, groupoid):
+        raise LineBundleError("no reference")
+
+    monkeypatch.setattr(cli, "build_line_bundle", refuse)
+    report = run_pipeline(named_fixture("z2-flip"))
+    assert not report.ok
+    last = report.stages[-1]
+    assert last["name"] == "linebundle" and last["verdict"] == "fail"
+    assert last["witnesses"] == ["no reference"]
+
+
+def test_pipeline_propagates_other_line_bundle_exceptions(monkeypatch):
+    from germlab import cli
+
+    def crash(bundle, groupoid):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "build_line_bundle", crash)
+    with pytest.raises(RuntimeError, match="bug"):
+        run_pipeline(named_fixture("z2-flip"))
+
+
+def test_cli_validate_rejects_out_of_range_table_entries(tmp_path, capsys):
+    for bad in (-1, True, 2, 1.0, "0"):
+        doc = named_fixture("z2-flip")
+        doc["semigroup"]["mul"][1][0] = bad
+        code, out = run(capsys, "validate", write(tmp_path, "bad.json", doc))
+        assert code == 2, bad
+        assert not out["ok"]
+        assert out["error"] == (f"semigroup.mul: row 1, column 0: {json.dumps(bad)} "
+                                "is not an integer in [0, 2)")
+
+
+def test_cli_verify_iso_refuses_interval_bundle(tmp_path, capsys):
+    path = write(tmp_path, "b.json", named_fixture("worked-example"))
+    code = main(["verify-iso", path, "--n-random", "5"])
+    printed = capsys.readouterr().out
+    assert code == 2
+    assert printed.count("\n") == 1
+    error = json.loads(printed)["error"]
+    assert "gelfand, kernel, reduced-iso" in error and "interval" in error
+
+
+def test_cli_norms_refuses_interval_bundle(tmp_path, capsys):
+    bundle_path = write(tmp_path, "b.json", named_fixture("worked-example"))
+    spath = write(tmp_path, "s.json", {"sections": []})
+    code = main(["norms", bundle_path, "--elements", spath])
+    printed = capsys.readouterr().out
+    assert code == 2
+    assert printed.count("\n") == 1
+    error = json.loads(printed)["error"]
+    assert "norms" in error and "interval" in error
